@@ -2,7 +2,8 @@
 
 Subcommands: analyze, wedges, orbit, generate, conjecture. Exit codes:
 0 normal, 2 invalid input or usage, 3 a conjecture counterexample was found
-(its points are persisted to a file named in the output).
+(its points are persisted to a file named in the output), 4 an internal
+invariant failed (a bug in simplewedge).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .constructions import ConstructionError, closed_orbit_config, g_extended, n
 from .incidence import (
     Configuration,
     ConfigurationError,
+    InternalInvariantError,
     NotThreeBoundedError,
     build_configuration,
     is_ell_bounded,
@@ -23,7 +25,7 @@ from .incidence import (
 )
 from .orbits import base_line, maximal_orbit, orbit_trace
 from .pointio import PointParseError, parse_points, write_points
-from .report import analyze, render_text, report_to_json
+from .report import _fmt_key, analyze, render_text, report_to_json
 from .search import search_with_stats
 from .svgout import render_svg
 from .wedges import brute_force_wedges, find_wedge_from_line
@@ -32,10 +34,6 @@ from .wedges import brute_force_wedges, find_wedge_from_line
 def _load_config(path: str) -> Configuration:
     text = Path(path).read_text(encoding="utf-8")
     return build_configuration(parse_points(text))
-
-
-def _fmt_key(key) -> str:
-    return f"({key.a}, {key.b}, {key.c})"
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -199,6 +197,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Exact rational plane primitives: points, canonical line keys, predicates.
 
-All coordinates are arbitrary-precision rationals (`fractions.Fraction`) and
-every predicate is decided exactly. Floating point never enters a decision
-path: a single misclassified collinearity would corrupt everything built on
-top of the incidence structure.
+Coordinates come in and go out as arbitrary-precision rationals
+(`fractions.Fraction`). Line keys are integer triples, and `normalize_line`
+is the one place where an integer triple is brought to canonical form; the
+incidence kernel shares it after clearing a configuration's denominators.
+`line_through` and `collinear` are the literal rational definitions. Every
+predicate is decided exactly. Floating point never enters a decision path: a
+single misclassified collinearity would corrupt everything built on top of
+the incidence structure.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 Rational = Fraction
 
@@ -44,6 +48,17 @@ def _coerce(value: RationalLike) -> Rational:
     if isinstance(value, float):
         raise TypeError("float coordinates are not allowed; use Fraction, int or a rational string")
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def normalize_line(a: int, b: int, c: int) -> Tuple[int, int, int]:
+    """Divide an integer line triple by its gcd and fix the sign so the first
+    nonzero of (a, b) is positive. (a, b) must not be (0, 0)."""
+    g = math.gcd(a, b, c)
+    if g != 1:
+        a, b, c = a // g, b // g, c // g
+    if a < 0 or (a == 0 and b < 0):
+        return -a, -b, -c
+    return a, b, c
 
 
 @dataclass(frozen=True)
@@ -80,14 +95,19 @@ class LineKey:
         if fa == 0 and fb == 0:
             raise ValueError("degenerate line: (a, b) must not be (0, 0)")
         scale = math.lcm(fa.denominator, fb.denominator, fc.denominator)
-        a, b, c = int(fa * scale), int(fb * scale), int(fc * scale)
-        g = math.gcd(a, b, c)
-        a, b, c = a // g, b // g, c // g
-        if a < 0 or (a == 0 and b < 0):
-            a, b, c = -a, -b, -c
+        a, b, c = normalize_line(int(fa * scale), int(fb * scale), int(fc * scale))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+
+    @classmethod
+    def _from_normalized(cls, a: int, b: int, c: int) -> LineKey:
+        """The key of a triple `normalize_line` returned, without re-coercing it."""
+        key = object.__new__(cls)
+        object.__setattr__(key, "a", a)
+        object.__setattr__(key, "b", b)
+        object.__setattr__(key, "c", c)
+        return key
 
     def __repr__(self) -> str:
         return f"LineKey({self.a}, {self.b}, {self.c})"

@@ -5,15 +5,22 @@ points, not all on one line. Everything downstream addresses points by index;
 coordinates are resolved only here, when the incidence structure (the map
 from spanned lines to incident point indices) is built. The structure is
 computed once per configuration and cached.
+
+Points come in as rationals, but decisions run on integers: a configuration
+clears its denominators once, scaling every point by the lcm of its
+coordinate denominators, which preserves equality and incidence. Validation
+and line enumeration work on those integer points, and only the distinct
+lines are mapped back to the `LineKey` of the unscaled rational line. It is
+all exact; no float is involved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .geometry import LineKey, Point, collinear, line_through
+from .geometry import LineKey, Point, normalize_line
 
 
 class ConfigurationError(ValueError):
@@ -32,20 +39,30 @@ class Configuration:
     """An ordered, validated point set. Input order is preserved so callers
     can rely on stable indices."""
 
-    __slots__ = ("points", "_incidence")
+    __slots__ = ("points", "_scale", "_ints", "_incidence")
 
     def __init__(self, points: Sequence[Point]):
         pts = tuple(points)
         if len(pts) < 3:
             raise ConfigurationError(f"too few points: need at least 3, got {len(pts)}")
-        seen: Dict[Point, int] = {}
-        for i, p in enumerate(pts):
+        # clear denominators once: point i becomes ints[i] = scale * pts[i]
+        scale = math.lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
+        ints = [
+            (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
+            for p in pts
+        ]
+        seen: Dict[Tuple[int, int], int] = {}
+        for i, p in enumerate(ints):
             if p in seen:
                 raise ConfigurationError(f"duplicate point at indices ({seen[p]},{i})")
             seen[p] = i
-        if all(collinear(pts[0], pts[1], p) for p in pts[2:]):
+        (x0, y0), (x1, y1) = ints[0], ints[1]
+        dx, dy = x1 - x0, y1 - y0
+        if all(dx * (y - y0) == dy * (x - x0) for x, y in ints[2:]):
             raise ConfigurationError("contained in a line")
         self.points = pts
+        self._scale = scale
+        self._ints = ints
         self._incidence: Optional[IncidenceStructure] = None
 
     def __len__(self) -> int:
@@ -113,23 +130,35 @@ class IncidenceStructure:
 def spanned_lines(config: Configuration) -> IncidenceStructure:
     """Enumerate every line spanned by the configuration.
 
-    Single O(n^2) pass over index pairs; n is desk-scale throughout, so
-    exactness and simplicity beat asymptotic cleverness here.
+    Single O(n^2) pass over index pairs of the integer points, grouping them
+    by the normalized integer triple of their line; n is desk-scale
+    throughout, so exactness and simplicity beat asymptotic cleverness here.
+    Only the distinct lines are mapped back to the key of the rational line.
     """
     if config._incidence is None:
-        acc: Dict[LineKey, set] = {}
-        pair_key: Dict[Tuple[int, int], LineKey] = {}
-        pts = config.points
-        for i, j in combinations(range(len(pts)), 2):
-            key = line_through(pts[i], pts[j])
-            pair_key[(i, j)] = key
-            bucket = acc.get(key)
-            if bucket is None:
-                acc[key] = {i, j}
-            else:
-                bucket.add(i)
-                bucket.add(j)
-        lines = {key: tuple(sorted(idx)) for key, idx in sorted(acc.items())}
+        # members in ascending order: the pairs (m0, m1), (m0, m2), ... of a
+        # line come before any other pair of it, so only those append
+        acc: Dict[Tuple[int, int, int], List[int]] = {}
+        pairs: List[Tuple[int, int]] = []
+        triples: List[Tuple[int, int, int]] = []
+        ints = config._ints
+        for i, (xi, yi) in enumerate(ints):
+            for j in range(i + 1, len(ints)):
+                xj, yj = ints[j]
+                triple = normalize_line(yj - yi, xi - xj, xj * yi - xi * yj)
+                pairs.append((i, j))
+                triples.append(triple)
+                members = acc.get(triple)
+                if members is None:
+                    acc[triple] = [i, j]
+                elif members[0] == i:
+                    members.append(j)
+        # a*X + b*Y + c = 0 on X = scale*x, Y = scale*y is (a*scale, b*scale, c) on x, y
+        scale = config._scale
+        canon = sorted((normalize_line(t[0] * scale, t[1] * scale, t[2]), t) for t in acc)
+        key_of = {t: LineKey._from_normalized(*k) for k, t in canon}
+        lines = {key: tuple(acc[t]) for t, key in key_of.items()}
+        pair_key = dict(zip(pairs, map(key_of.__getitem__, triples)))
         config._incidence = IncidenceStructure(lines, pair_key)
     return config._incidence
 

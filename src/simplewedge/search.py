@@ -138,6 +138,10 @@ def search_with_stats(
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be an odd number >= 3, got {n}")
+    if trials is not None and trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    if coord_range < 1:
+        raise ValueError(f"coordinate range must be at least 1, got {coord_range}")
     if grid is not None:
         return _exhaustive_search(n, grid)
     if trials is None:

@@ -135,6 +135,30 @@ def test_conjecture_rejects_even_n(capsys):
     assert "odd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--trials", "-5"], "trials must be non-negative"), (["--range", "-2"], "range must be at least 1")],
+)
+def test_conjecture_rejects_nonsense_arguments(flags, message, capsys):
+    assert main(["conjecture", "--n", "5", *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "trials run" not in captured.out
+
+
+def test_internal_invariant_error_exit_code(monkeypatch, capsys):
+    import simplewedge.cli as cli_module
+    from simplewedge import InternalInvariantError
+
+    def broken_search(n, **kwargs):
+        raise InternalInvariantError("incidence is broken")
+
+    monkeypatch.setattr(cli_module, "search_with_stats", broken_search)
+    assert main(["conjecture", "--n", "5", "--trials", "5"]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: incidence is broken\n"
+
+
 def test_conjecture_counterexample_exit_code(tmp_path, monkeypatch, capsys):
     """A wedge-free find must be persisted to a file named in the output and
     flip the exit code to 3."""

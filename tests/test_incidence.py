@@ -14,6 +14,7 @@ from simplewedge import (
     build_configuration,
     collinear,
     is_ell_bounded,
+    line_through,
     on_line,
     simple_lines,
     spanned_lines,
@@ -186,3 +187,85 @@ def test_third_point_symmetric(pts):
     n = len(config.points)
     for i, j in combinations(range(n), 2):
         assert third_point(config, i, j) == third_point(config, j, i)
+
+
+# Differential test of the integer kernel against the rational definitions.
+
+
+def _literal_rejection(pts):
+    """The message a configuration must be rejected with, or None."""
+    if len(pts) < 3:
+        return f"too few points: need at least 3, got {len(pts)}"
+    for i, p in enumerate(pts):
+        if p in pts[:i]:
+            return f"duplicate point at indices ({pts.index(p)},{i})"
+    if all(collinear(pts[0], pts[1], p) for p in pts[2:]):
+        return "contained in a line"
+    return None
+
+
+def _literal_incidence(pts):
+    """(lines, pair_key) from line_through on every pair, as the kernel must build them."""
+    pair_key = {(i, j): line_through(pts[i], pts[j]) for i, j in combinations(range(len(pts)), 2)}
+    members = {}
+    for pair, key in pair_key.items():
+        members.setdefault(key, set()).update(pair)
+    return {key: tuple(sorted(members[key])) for key in sorted(members)}, pair_key
+
+
+huge = st.integers(-(10**30), 10**30)
+rationals = st.one_of(
+    st.integers(-40, 40).map(Fraction),
+    st.builds(Fraction, st.integers(-200, 200), st.integers(1, 12)),
+    st.builds(Fraction, huge, st.integers(1, 10**30)),
+)
+rational_points = st.tuples(rationals, rationals)
+
+
+@st.composite
+def rational_point_lists(draw):
+    """Mixed-denominator points with collinear runs, a near-parallel pair of
+    segments and sometimes a duplicate written unreduced ("2/4" for 1/2)."""
+    pts = draw(st.lists(rational_points, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        # a run through a point already drawn: with nothing else, the set is collinear
+        (px, py), (dx, dy) = draw(st.sampled_from(pts)), draw(rational_points)
+        pts += [(px + t * dx, py + t * dy) for t in draw(st.lists(rationals, min_size=2, max_size=4))]
+    if draw(st.booleans()):
+        # segment ab and its translate by o, one end nudged by 0 or +-1/d, d <= 10^30
+        (ax, ay), (bx, by), (ox, oy) = draw(rational_points), draw(rational_points), draw(rational_points)
+        nudge = Fraction(draw(st.integers(-1, 1)), draw(st.integers(1, 10**30)))
+        pts += [(ax, ay), (bx, by), (ax + ox, ay + oy), (bx + ox + nudge, by + oy)]
+    if draw(st.integers(0, 3)) == 0:
+        x, y = draw(st.sampled_from(pts))
+        k = draw(st.integers(2, 10**6))
+        pts.append((f"{x.numerator * k}/{x.denominator * k}", f"{y.numerator * k}/{y.denominator * k}"))
+    return [Point(*p) for p in draw(st.permutations(pts))]
+
+
+@given(rational_point_lists())
+def test_kernel_matches_rational_definition(pts):
+    expected = _literal_rejection(pts)
+    if expected is not None:
+        with pytest.raises(ConfigurationError) as exc:
+            build_configuration(pts)
+        assert str(exc.value) == expected
+        return
+    inc = spanned_lines(build_configuration(pts))
+    lines, pair_key = _literal_incidence(pts)
+    assert list(inc.lines.items()) == list(lines.items())
+    assert list(inc._pair_key.items()) == list(pair_key.items())
+    assert inc.max_line_size == max(len(idx) for idx in lines.values())
+
+
+def test_kernel_rejects_unreduced_duplicate():
+    with pytest.raises(ConfigurationError, match=r"^duplicate point at indices \(0,3\)$"):
+        build_configuration([("1/2", "-1/3"), (1, 1), (0, 5), ("2/4", "-2/6")])
+
+
+def test_kernel_rejects_collinear_rationals():
+    # y = x/3 + 1/7 through points with denominators 5, 7, 35 and 10^30
+    pts = [(x, x / 3 + Fraction(1, 7)) for x in (Fraction(1, 5), Fraction(2, 7), Fraction(-3, 35), Fraction(1, 10**30))]
+    with pytest.raises(ConfigurationError, match="^contained in a line$"):
+        build_configuration(pts)
+

@@ -84,6 +84,15 @@ def test_search_requires_mode_parameters():
         conjecture_search(5)
 
 
+def test_search_rejects_negative_trials_and_empty_range():
+    with pytest.raises(ValueError, match="trials must be non-negative"):
+        search_with_stats(5, trials=-5)
+    for coord_range in (0, -2):
+        with pytest.raises(ValueError, match="coordinate range must be at least 1"):
+            search_with_stats(5, trials=3, coord_range=coord_range)
+    assert search_with_stats(5, trials=0)[1].trials == 0
+
+
 def test_exhaustive_small_grid():
     failures, stats = search_with_stats(5, grid=3)
     assert stats.subsets_scanned == 126  # C(9, 5)
