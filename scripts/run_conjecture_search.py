@@ -9,9 +9,14 @@ written to a point file and reported loudly; finding one would be a result.
 import argparse
 import sys
 import time
-from pathlib import Path
 
-from simplewedge import search_with_stats, write_points
+from simplewedge import search_with_stats, write_counterexample
+
+
+def _save(failures, grid) -> int:
+    for result in failures:
+        print(f"    !! wedge-free configuration saved to {write_counterexample(result, grid)}")
+    return len(failures)
 
 
 def main() -> int:
@@ -28,12 +33,12 @@ def main() -> int:
     for n, grid in ((5, 3), (7, 4)):
         started = time.perf_counter()
         failures, stats = search_with_stats(n, grid=grid)
-        total_failures += len(failures)
         print(
             f"  n={n} grid={grid}x{grid}: {stats.subsets_scanned} subsets "
             f"({stats.subsets_skipped} collinear skipped), {len(failures)} wedge-free "
             f"[{time.perf_counter() - started:.1f}s]"
         )
+        total_failures += _save(failures, grid)
 
     print(f"random batches: {args.trials} trials each, seed={args.seed}, range={args.coord_range}")
     for n in args.sizes:
@@ -44,15 +49,11 @@ def main() -> int:
         failures, stats = search_with_stats(
             n, trials=args.trials, seed=args.seed, coord_range=args.coord_range
         )
-        total_failures += len(failures)
         print(
             f"  n={n}: {stats.trials} trials ({stats.collinear_rejections} collinear "
             f"resampled), {len(failures)} wedge-free [{time.perf_counter() - started:.1f}s]"
         )
-        for result in failures:
-            name = f"counterexample-n{result.n}-trial{result.trial}.txt"
-            Path(name).write_text(write_points(result.points), encoding="utf-8")
-            print(f"    !! wedge-free configuration saved to {name}")
+        total_failures += _save(failures, None)
 
     if total_failures:
         print(f"{total_failures} wedge-free configuration(s) found — inspect the saved files")

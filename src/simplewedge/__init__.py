@@ -32,13 +32,10 @@ from .orbits import (
     OrbitAnomalyError,
     OrbitDecomposition,
     OrbitKind,
-    StepKind,
-    StepOutcome,
     base_line,
     decompose,
     maximal_orbit,
     orbit_length,
-    orbit_step,
     orbit_trace,
     orbits_disjoint,
     verify_orbit,
@@ -76,6 +73,7 @@ from .search import (
     sample_configuration,
     search_with_stats,
     trial_rng,
+    write_counterexample,
 )
 from .svgout import render_svg
 

@@ -26,7 +26,7 @@ from .incidence import (
 from .orbits import base_line, maximal_orbit, orbit_trace
 from .pointio import PointParseError, parse_points, write_points
 from .report import _fmt_key, analyze, render_text, report_to_json
-from .search import search_with_stats
+from .search import search_with_stats, write_counterexample
 from .svgout import render_svg
 from .wedges import brute_force_wedges, find_wedge_from_line
 
@@ -126,8 +126,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     if not failures:
         return 0
     for result in failures:
-        name = f"counterexample-n{result.n}-trial{result.trial}.txt"
-        Path(name).write_text(write_points(result.points), encoding="utf-8")
+        name = write_counterexample(result, args.grid if args.exhaustive else None)
         print(f"wedge-free configuration persisted to {name}")
     return 3
 

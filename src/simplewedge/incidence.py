@@ -117,9 +117,6 @@ class IncidenceStructure:
             raise ValueError("distinct indices required")
         return self._pair_key[(i, j) if i < j else (j, i)]
 
-    def indices_on(self, key: LineKey) -> Tuple[int, ...]:
-        return self.lines[key]
-
     def size_histogram(self) -> Dict[int, int]:
         hist: Dict[int, int] = {}
         for idx in self.lines.values():

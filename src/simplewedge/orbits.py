@@ -63,13 +63,12 @@ class OrbitKind(Enum):
 
 @dataclass(frozen=True)
 class Orbit:
-    """An orbit walk. Closed orbits store the first point again at the end,
-    so their length reads off as len(seq) - 1."""
+    """A maximal orbit walk: open ones are stuck, closed ones store the first
+    point again at the end, so their length reads off as len(seq) - 1."""
 
     base: BaseLine
     seq: Tuple[int, ...]
     kind: OrbitKind
-    maximal: bool
 
     @property
     def support(self) -> frozenset:
@@ -103,45 +102,17 @@ def verify_orbit(config: Configuration, base: BaseLine, seq: Sequence[int]) -> b
     return True
 
 
-class StepKind(Enum):
-    EXTEND = "extend"
-    CLOSE = "close"
-    STUCK = "stuck"
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    kind: StepKind
-    index: Optional[int] = None
-
-
-def orbit_step(config: Configuration, base: BaseLine, seq: Sequence[int]) -> StepOutcome:
-    """Attempt one continuation of an open orbit.
-
-    The pivot for position t+1 is b when t+1 is even, a otherwise. The unique
-    third point on the pivot line extends the walk if it is new, closes it if
-    it equals the first entry, and its absence means the walk is stuck (the
-    pivot line is simple). Any other repeat is impossible on 3-bounded input
-    and raises.
-    """
-    pivot = base.b if (len(seq) + 1) % 2 == 0 else base.a
-    k = third_point(config, pivot, seq[-1])
-    if k is None:
-        return StepOutcome(StepKind.STUCK)
-    if k == seq[0]:
-        return StepOutcome(StepKind.CLOSE)
-    if k in seq:
-        raise OrbitAnomalyError(
-            f"orbit anomaly: continuation {k} repeats a non-initial entry of {tuple(seq)}"
-        )
-    return StepOutcome(StepKind.EXTEND, k)
-
-
 def maximal_orbit(config: Configuration, base: BaseLine, start: int) -> Orbit:
     """Walk from `start` until the orbit closes or gets stuck.
 
-    Each extension adds a fresh point, so the walk terminates within n steps;
-    exceeding that bound is flagged as an internal error rather than looping.
+    The pivot for position t+1 is b when t+1 is even, a otherwise. The unique
+    third point on the line through the pivot and the last entry extends the
+    walk if it is new and closes it if it equals the first entry; its absence
+    means the walk is stuck (that pivot line is simple), so the open orbit is
+    maximal. Any other repeat is impossible on 3-bounded input and raises
+    OrbitAnomalyError. Each extension adds a fresh point, so the walk
+    terminates within n steps; exceeding that bound is flagged as an internal
+    error rather than looping.
     """
     n = len(config.points)
     if not 0 <= start < n:
@@ -150,14 +121,17 @@ def maximal_orbit(config: Configuration, base: BaseLine, start: int) -> Orbit:
         raise ValueError("start point must differ from both base points")
     seq: List[int] = [start]
     for _ in range(n + 1):
-        outcome = orbit_step(config, base, seq)
-        if outcome.kind is StepKind.EXTEND:
-            seq.append(outcome.index)
-            continue
-        if outcome.kind is StepKind.CLOSE:
-            seq.append(seq[0])
-            return Orbit(base, tuple(seq), OrbitKind.CLOSED, True)
-        return Orbit(base, tuple(seq), OrbitKind.OPEN, True)
+        pivot = base.b if (len(seq) + 1) % 2 == 0 else base.a
+        k = third_point(config, pivot, seq[-1])
+        if k is None:
+            return Orbit(base, tuple(seq), OrbitKind.OPEN)
+        if k == start:
+            return Orbit(base, (*seq, start), OrbitKind.CLOSED)
+        if k in seq:
+            raise OrbitAnomalyError(
+                f"orbit anomaly: continuation {k} repeats a non-initial entry of {tuple(seq)}"
+            )
+        seq.append(k)
     raise InternalInvariantError("orbit walk exceeded the point count without terminating")
 
 
@@ -221,8 +195,6 @@ def orbit_trace(config: Configuration, orbit: Orbit) -> List[str]:
     length = orbit_length(orbit)
     if orbit.kind is OrbitKind.CLOSED:
         lines.append(f"CLOSED length {length}")
-    elif orbit.maximal:
-        lines.append(f"OPEN maximal length {length}")
     else:
-        lines.append(f"OPEN length {length}")
+        lines.append(f"OPEN maximal length {length}")
     return lines

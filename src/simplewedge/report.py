@@ -8,13 +8,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .geometry import LineKey
-from .incidence import Configuration, SimpleLine, is_ell_bounded, simple_lines, spanned_lines
+from .incidence import Configuration, SimpleLine, simple_lines, spanned_lines
 from .wedges import (
     CoverageEntry,
     CoverageReport,
     WedgeCertificate,
     brute_force_wedges,
-    wedge_coverage,
+    coverage_from,
 )
 
 
@@ -31,18 +31,21 @@ class AnalysisReport:
 
 
 def analyze(config: Configuration) -> AnalysisReport:
-    """Full analysis of a configuration. Wedges come from the brute-force
-    oracle so the report is valid for non-3-bounded inputs too."""
+    """Full analysis of a configuration in one pass: the simple lines and the
+    brute-force oracle's wedges are computed once each, and the coverage is
+    read off those wedges. The oracle makes it valid for any valid input."""
     inc = spanned_lines(config)
+    lines = simple_lines(config)
+    wedges = brute_force_wedges(config)
     return AnalysisReport(
         n=len(config.points),
         line_count=len(inc.lines),
         line_size_histogram=inc.size_histogram(),
         max_line_size=inc.max_line_size,
-        three_bounded=is_ell_bounded(config, 3),
-        simple_lines=simple_lines(config),
-        wedges=brute_force_wedges(config),
-        coverage=wedge_coverage(config),
+        three_bounded=inc.max_line_size <= 3,
+        simple_lines=lines,
+        wedges=wedges,
+        coverage=coverage_from(lines, wedges),
     )
 
 
@@ -107,15 +110,15 @@ def report_to_json_dict(report: AnalysisReport) -> dict:
     }
 
 
+def _coverage_entry_from_json(data: dict) -> CoverageEntry:
+    cert = None if data["certificate"] is None else _certificate_from_json(data["certificate"])
+    if data["covered"] != (cert is not None):
+        raise ValueError(f"coverage entry {data['endpoints']}: 'covered' disagrees with 'certificate'")
+    return CoverageEntry(_simple_line_from_json(data), cert)
+
+
 def report_from_json_dict(data: dict) -> AnalysisReport:
-    entries = tuple(
-        CoverageEntry(
-            SimpleLine(_key_from_json(e["key"]), tuple(e["endpoints"])),
-            e["covered"],
-            None if e["certificate"] is None else _certificate_from_json(e["certificate"]),
-        )
-        for e in data["coverage"]
-    )
+    entries = tuple(_coverage_entry_from_json(e) for e in data["coverage"])
     return AnalysisReport(
         n=data["n"],
         line_count=data["lines"]["count"],

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .geometry import Point
@@ -27,6 +28,7 @@ from .incidence import (
     InternalInvariantError,
     build_configuration,
 )
+from .pointio import write_points
 from .wedges import brute_force_wedges
 
 _MASK64 = (1 << 64) - 1
@@ -123,6 +125,16 @@ def _reverify(result: ConjectureTrialResult) -> None:
         )
 
 
+def _record_if_wedge_free(
+    failures: List[ConjectureTrialResult], seed: int, trial: int, config: Configuration
+) -> None:
+    """The one failure path of both modes: detect, re-verify, record."""
+    if not brute_force_wedges(config):
+        result = ConjectureTrialResult(seed, trial, len(config.points), config.points, False)
+        _reverify(result)
+        failures.append(result)
+
+
 def search_with_stats(
     n: int,
     *,
@@ -152,10 +164,7 @@ def search_with_stats(
         rng = trial_rng(seed, trial)
         config, rejected = sample_configuration(n, coord_range, rng)
         rejections += rejected
-        if not brute_force_wedges(config):
-            result = ConjectureTrialResult(seed, trial, n, config.points, False)
-            _reverify(result)
-            failures.append(result)
+        _record_if_wedge_free(failures, seed, trial, config)
     stats = SearchStats("random", trials=trials, collinear_rejections=rejections)
     return failures, stats
 
@@ -177,12 +186,21 @@ def _exhaustive_search(n: int, grid: int) -> Tuple[List[ConjectureTrialResult], 
         except ConfigurationError:
             skipped += 1
             continue
-        if not brute_force_wedges(config):
-            result = ConjectureTrialResult(0, index, n, tuple(combo), False)
-            _reverify(result)
-            failures.append(result)
+        _record_if_wedge_free(failures, 0, index, config)
     stats = SearchStats("exhaustive", subsets_scanned=scanned, subsets_skipped=skipped)
     return failures, stats
+
+
+def write_counterexample(result: ConjectureTrialResult, grid: Optional[int]) -> str:
+    """Write a wedge-free find to a point file in the working directory and
+    return its name. Random finds (`grid` None) are named by seed and trial,
+    exhaustive ones by grid and subset index, so no two runs share a name."""
+    if grid is None:
+        name = f"counterexample-n{result.n}-seed{result.seed}-trial{result.trial}.txt"
+    else:
+        name = f"counterexample-n{result.n}-grid{grid}-subset{result.trial}.txt"
+    Path(name).write_text(write_points(result.points), encoding="utf-8")
+    return name
 
 
 def conjecture_search(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .geometry import LineKey, line_through
 from .incidence import (
@@ -67,7 +67,7 @@ def wedge_from_open_orbit(config: Configuration, base: BaseLine, orbit: Orbit) -
     incidence structure: if it is not simple, the guarantee this function
     rests on is broken, which is an internal error.
     """
-    if orbit.kind is not OrbitKind.OPEN or not orbit.maximal:
+    if orbit.kind is not OrbitKind.OPEN:
         raise ValueError("need a maximal open orbit")
     if orbit.base != base:
         raise ValueError("orbit does not belong to this base line")
@@ -133,8 +133,11 @@ def brute_force_wedges(config: Configuration) -> Tuple[WedgeCertificate, ...]:
 @dataclass(frozen=True)
 class CoverageEntry:
     line: SimpleLine
-    covered: bool
     certificate: Optional[WedgeCertificate]
+
+    @property
+    def covered(self) -> bool:
+        return self.certificate is not None
 
 
 @dataclass(frozen=True)
@@ -145,12 +148,18 @@ class CoverageReport:
     entries: Tuple[CoverageEntry, ...]
 
 
+def coverage_from(lines: Sequence[SimpleLine], certs: Sequence[WedgeCertificate]) -> CoverageReport:
+    """Coverage of `lines` read off the wedge list `certs` in one pass: each
+    line's witness is the first certificate that uses it as key1 or key2 (in
+    the oracle's (apex, arm1, arm2) order), or None when none does."""
+    witness: Dict[LineKey, WedgeCertificate] = {}
+    for cert in certs:
+        witness.setdefault(cert.key1, cert)
+        witness.setdefault(cert.key2, cert)
+    return CoverageReport(tuple(CoverageEntry(line, witness.get(line.key)) for line in lines))
+
+
 def wedge_coverage(config: Configuration) -> CoverageReport:
-    """Coverage of every simple line, computed via the brute-force oracle so
-    it applies to non-3-bounded configurations too."""
-    certs = brute_force_wedges(config)
-    entries = []
-    for line in simple_lines(config):
-        witness = next((c for c in certs if line.key in (c.key1, c.key2)), None)
-        entries.append(CoverageEntry(line, witness is not None, witness))
-    return CoverageReport(tuple(entries))
+    """Coverage of every simple line, read off the brute-force oracle's wedge
+    list once, so it applies to non-3-bounded configurations too."""
+    return coverage_from(simple_lines(config), brute_force_wedges(config))

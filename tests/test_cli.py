@@ -174,9 +174,48 @@ def test_conjecture_counterexample_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["conjecture", "--n", "3", "--trials", "5"]) == 3
     out = capsys.readouterr().out
-    assert "counterexample-n3-trial4.txt" in out
-    saved = parse_points((tmp_path / "counterexample-n3-trial4.txt").read_text())
+    assert "counterexample-n3-seed1-trial4.txt" in out
+    saved = parse_points((tmp_path / "counterexample-n3-seed1-trial4.txt").read_text())
     assert tuple(saved) == triangle_points
+
+
+def test_counterexample_files_do_not_collide(tmp_path, monkeypatch, capsys):
+    """Finds from different seeds, and exhaustive finds from the experiment
+    script, are written by one writer under distinct names."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    import simplewedge.cli as cli_module
+
+    triangle_points = (Point(0, 0), Point(1, 0), Point(0, 1))
+    monkeypatch.chdir(tmp_path)
+    for seed in (1, 2):
+        fake = ConjectureTrialResult(seed, 4, 3, triangle_points, False)
+        monkeypatch.setattr(cli_module, "search_with_stats", lambda n, **kw: ([fake], SearchStats("random")))
+        assert main(["conjecture", "--n", "3", "--seed", str(seed)]) == 3
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_conjecture_search.py"
+    spec = importlib.util.spec_from_file_location("run_conjecture_search", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def fake_search(n, **kwargs):
+        if kwargs.get("grid") == 3:
+            return [ConjectureTrialResult(0, 4, 3, triangle_points, False)], SearchStats("exhaustive")
+        return [], SearchStats("exhaustive" if "grid" in kwargs else "random")
+
+    monkeypatch.setattr(module, "search_with_stats", fake_search)
+    monkeypatch.setattr(sys, "argv", ["run_conjecture_search.py", "--trials", "1", "--sizes", "5"])
+    assert module.main() == 3
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "counterexample-n3-grid3-subset4.txt",
+        "counterexample-n3-seed1-trial4.txt",
+        "counterexample-n3-seed2-trial4.txt",
+    ]
+    for path in tmp_path.iterdir():
+        assert tuple(parse_points(path.read_text())) == triangle_points
 
 
 def test_usage_error_exit_code():

@@ -1,5 +1,8 @@
+import json
 import xml.etree.ElementTree as ET
 from math import comb
+
+import pytest
 
 from simplewedge import LineKey, analyze, render_svg, render_text
 from simplewedge.report import report_from_json, report_to_json
@@ -50,6 +53,14 @@ def test_report_json_round_trip(six, nine, five, triangle):
     for config in (six, nine, five, triangle):
         report = analyze(config)
         assert report_from_json(report_to_json(report)) == report
+
+
+def test_report_json_rejects_inconsistent_coverage(nine):
+    data = json.loads(report_to_json(analyze(nine)))
+    entry = next(e for e in data["coverage"] if e["certificate"] is not None)
+    entry["covered"] = False
+    with pytest.raises(ValueError, match="'covered' disagrees"):
+        report_from_json(json.dumps(data))
 
 
 def test_render_text_mentions_headline_facts(six):

@@ -5,6 +5,7 @@ from simplewedge import (
     NotThreeBoundedError,
     Point,
     WedgeCertificate,
+    analyze,
     base_line,
     brute_force_wedges,
     build_configuration,
@@ -12,10 +13,13 @@ from simplewedge import (
     collinear,
     decompose,
     find_wedge_from_line,
+    g_extended,
     maximal_orbit,
     on_line,
+    sample_configuration,
     simple_lines,
     spanned_lines,
+    trial_rng,
     validate_certificate,
     verify_orbit,
     wedge_coverage,
@@ -136,6 +140,23 @@ def test_coverage_certificate_uses_the_line(five):
             assert cert.apex in (i, j)
             other = j if cert.apex == i else i
             assert other in (cert.arm1, cert.arm2)
+
+
+def test_coverage_witness_is_the_first_certificate_using_the_line(six, nine):
+    """The one-pass coverage picks the same witness as the literal definition:
+    the first oracle certificate, in (apex, arm1, arm2) order, using the line."""
+    configs = [six, nine, closed_orbit_config(4), g_extended(3)]
+    configs += [sample_configuration(n, r, trial_rng(3, n))[0] for n in (5, 8, 11) for r in (3, 50)]
+    for config in configs:
+        certs = brute_force_wedges(config)
+        report = wedge_coverage(config)
+        assert [entry.line for entry in report.entries] == list(simple_lines(config))
+        for entry in report.entries:
+            line = entry.line
+            assert entry.certificate == next(
+                (c for c in certs if line.key in (c.key1, c.key2)), None
+            )
+        assert analyze(config).coverage == report
 
 
 def test_coverage_odd_bounded_all_covered(five):
