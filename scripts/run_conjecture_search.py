@@ -30,7 +30,7 @@ def main() -> int:
     total_failures = 0
 
     print("exhaustive scans")
-    for n, grid in ((5, 3), (7, 4)):
+    for n, grid in ((5, 3), (7, 4), (9, 5), (11, 5)):
         started = time.perf_counter()
         failures, stats = search_with_stats(n, grid=grid)
         print(

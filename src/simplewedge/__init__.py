@@ -70,6 +70,7 @@ from .search import (
     SearchStats,
     SplitMix64,
     conjecture_search,
+    exhaustive_subset_count,
     sample_configuration,
     search_with_stats,
     trial_rng,

@@ -26,7 +26,7 @@ from .incidence import (
 from .orbits import base_line, maximal_orbit, orbit_trace
 from .pointio import PointParseError, parse_points, write_points
 from .report import _fmt_key, analyze, render_text, report_to_json
-from .search import search_with_stats, write_counterexample
+from .search import exhaustive_subset_count, search_with_stats, write_counterexample
 from .svgout import render_svg
 from .wedges import brute_force_wedges, find_wedge_from_line
 
@@ -110,6 +110,8 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     if args.exhaustive:
         if args.grid is None:
             raise ValueError("exhaustive mode requires --grid")
+        total = exhaustive_subset_count(args.n, args.grid)
+        print(f"{total} subsets to scan", file=sys.stderr, flush=True)
         failures, stats = search_with_stats(args.n, grid=args.grid)
         print(
             f"{stats.subsets_scanned} subsets scanned "

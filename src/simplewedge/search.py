@@ -2,10 +2,15 @@
 
 Two modes. Random mode samples n distinct integer points per trial from
 [-range, range]^2, resampling a whole trial when the draw is collinear;
-exhaustive mode scans every n-subset of a G x G lattice. Detection always uses
-the brute-force oracle — the question places no boundedness hypothesis — and
-any wedge-free find is re-verified from scratch before it is reported, since
-a single confirmed one would settle the question negatively.
+exhaustive mode scans every n-subset of a G x G lattice. Random mode detects
+wedges with the brute-force oracle, which needs no boundedness hypothesis.
+Exhaustive mode decides each subset on bitmasks of the lattice's lines,
+computed once per scan with the integer kernel: a line is simple in a subset S
+iff its mask meets S in exactly two cells, and S has a wedge iff two simple
+lines share an endpoint. In both modes every wedge-free find is re-verified
+from scratch by the oracle before it is reported, since a single confirmed one
+would settle the question negatively; an oracle that disagrees with the masks
+raises InternalInvariantError.
 
 Reproducibility contract (fixed; never to change silently): randomness comes
 from SplitMix64, and trial number `t` under seed `s` uses an independent
@@ -16,12 +21,13 @@ no platform dependence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .geometry import Point
+from .geometry import Point, normalize_line
 from .incidence import (
     Configuration,
     ConfigurationError,
@@ -33,6 +39,11 @@ from .wedges import brute_force_wedges
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# The exhaustive scan's pair table has grid**4 entries: about 8 MB of
+# references at this side length, 800 MB at 100. Larger grids are refused
+# before the table is built.
+MAX_GRID = 32
 
 
 def mix64(value: int) -> int:
@@ -118,21 +129,44 @@ class SearchStats:
 
 
 def _reverify(result: ConjectureTrialResult) -> None:
-    config = build_configuration(result.points)
+    try:
+        config = build_configuration(result.points)
+    except ConfigurationError as exc:
+        raise InternalInvariantError(
+            f"candidate counterexample failed re-verification: {exc}"
+        ) from exc
     if brute_force_wedges(config):
         raise InternalInvariantError(
             "candidate counterexample failed re-verification: a wedge exists after all"
         )
 
 
-def _record_if_wedge_free(
-    failures: List[ConjectureTrialResult], seed: int, trial: int, config: Configuration
+def _record_wedge_free(
+    failures: List[ConjectureTrialResult], seed: int, trial: int, points: Sequence[Point]
 ) -> None:
-    """The one failure path of both modes: detect, re-verify, record."""
-    if not brute_force_wedges(config):
-        result = ConjectureTrialResult(seed, trial, len(config.points), config.points, False)
-        _reverify(result)
-        failures.append(result)
+    """The one failure path of both modes: re-verify from scratch, record."""
+    result = ConjectureTrialResult(seed, trial, len(points), tuple(points), False)
+    _reverify(result)
+    failures.append(result)
+
+
+def _check_size(n: int) -> None:
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"n must be an odd number >= 3, got {n}")
+
+
+def exhaustive_subset_count(n: int, grid: int) -> int:
+    """Validate an exhaustive run and return the number of n-subsets it scans,
+    comb(grid**2, n). Raises ValueError for a size the search refuses and for
+    a grid smaller than 2, larger than MAX_GRID, or with fewer than n cells."""
+    _check_size(n)
+    if grid < 2:
+        raise ValueError(f"grid must be at least 2, got {grid}")
+    if grid > MAX_GRID:
+        raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
+    if n > grid * grid:
+        raise ValueError(f"cannot choose {n} points from a {grid}x{grid} grid")
+    return math.comb(grid * grid, n)
 
 
 def search_with_stats(
@@ -148,13 +182,13 @@ def search_with_stats(
     Pass `grid` for exhaustive mode, otherwise `trials` for random mode.
     Only odd n >= 3 is meaningful: even sizes have known wedge-free sets.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be an odd number >= 3, got {n}")
+    _check_size(n)
     if trials is not None and trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     if coord_range < 1:
         raise ValueError(f"coordinate range must be at least 1, got {coord_range}")
     if grid is not None:
+        exhaustive_subset_count(n, grid)  # before any table is built
         return _exhaustive_search(n, grid)
     if trials is None:
         raise ValueError("random mode requires a trial count")
@@ -164,30 +198,60 @@ def search_with_stats(
         rng = trial_rng(seed, trial)
         config, rejected = sample_configuration(n, coord_range, rng)
         rejections += rejected
-        _record_if_wedge_free(failures, seed, trial, config)
+        if not brute_force_wedges(config):
+            _record_wedge_free(failures, seed, trial, config.points)
     stats = SearchStats("random", trials=trials, collinear_rejections=rejections)
     return failures, stats
 
 
+def _grid_line_table(grid: int) -> List[List[int]]:
+    """`line[i][j]` is the bitmask of every cell on the line through cells
+    i != j of the grid x grid lattice (bit c set for cell c); the diagonal is 0.
+    Lines are told apart by their normalized integer triple."""
+    size = grid * grid
+    lines: Dict[Tuple[int, int, int], List[int]] = {}
+    for i, j in combinations(range(size), 2):
+        xi, yi = i % grid, i // grid
+        a, b = j // grid - yi, xi - j % grid
+        on_line = lines.setdefault(normalize_line(a, b, -(a * xi + b * yi)), [i])
+        # pairs come in lexicographic order, so a line's pairs with its first
+        # cell list each of its other cells exactly once
+        if on_line[0] == i:
+            on_line.append(j)
+    line = [[0] * size for _ in range(size)]
+    for on_line in lines.values():
+        mask = sum(1 << c for c in on_line)
+        for i, j in combinations(on_line, 2):
+            line[i][j] = line[j][i] = mask
+    return line
+
+
 def _exhaustive_search(n: int, grid: int) -> Tuple[List[ConjectureTrialResult], SearchStats]:
-    if grid < 2:
-        raise ValueError(f"grid must be at least 2, got {grid}")
-    # cell index i -> (x = i mod grid, y = i div grid): row-major lattice order
-    cells = [Point(i % grid, i // grid) for i in range(grid * grid)]
-    if n > len(cells):
-        raise ValueError(f"cannot choose {n} points from a {grid}x{grid} grid")
+    size = grid * grid
+    line = _grid_line_table(grid)
+    bit = [1 << i for i in range(size)]
     failures: List[ConjectureTrialResult] = []
-    scanned = 0
     skipped = 0
-    for index, combo in enumerate(combinations(cells, n)):
-        scanned += 1
-        try:
-            config = build_configuration(combo)
-        except ConfigurationError:
+    for index, combo in enumerate(combinations(range(size), n)):
+        subset = 0
+        for c in combo:
+            subset |= bit[c]
+        if line[combo[0]][combo[1]] & subset == subset:
             skipped += 1
             continue
-        _record_if_wedge_free(failures, 0, index, config)
-    stats = SearchStats("exhaustive", subsets_scanned=scanned, subsets_skipped=skipped)
+        # a wedge is two simple lines with a common endpoint
+        endpoints = 0
+        for a, b in combinations(combo, 2):
+            if (line[a][b] & subset).bit_count() == 2:
+                pair = bit[a] | bit[b]
+                if endpoints & pair:
+                    break
+                endpoints |= pair
+        else:
+            # cell c -> (x = c mod grid, y = c div grid): row-major lattice order
+            points = [Point(c % grid, c // grid) for c in combo]
+            _record_wedge_free(failures, 0, index, points)
+    stats = SearchStats("exhaustive", subsets_scanned=math.comb(size, n), subsets_skipped=skipped)
     return failures, stats
 
 

@@ -125,6 +125,26 @@ def test_conjecture_exhaustive(capsys):
     assert "126 subsets scanned" in capsys.readouterr().out
 
 
+def test_conjecture_exhaustive_announces_subset_count_on_stderr(capsys):
+    assert main(["conjecture", "--n", "7", "--exhaustive", "--grid", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "11440 subsets to scan\n"
+    assert captured.out == "11440 subsets scanned (0 collinear skipped), 0 failures\n"
+
+
+def test_conjecture_rejects_intractable_grid(monkeypatch, capsys):
+    from simplewedge import search
+
+    def no_table(grid):
+        raise AssertionError("the line table must not be built for a refused grid")
+
+    monkeypatch.setattr(search, "_grid_line_table", no_table)
+    assert main(["conjecture", "--n", "5", "--exhaustive", "--grid", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert f"grid must be at most {search.MAX_GRID}" in captured.err
+    assert "subsets to scan" not in captured.err
+
+
 def test_conjecture_random(capsys):
     assert main(["conjecture", "--n", "7", "--trials", "25", "--seed", "1", "--range", "40"]) == 0
     assert "25 trials run" in capsys.readouterr().out

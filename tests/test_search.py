@@ -1,14 +1,22 @@
+from itertools import combinations
+from math import comb
+
 import pytest
 
 from simplewedge import (
+    ConfigurationError,
     ConjectureTrialResult,
+    InternalInvariantError,
+    Point,
     SplitMix64,
+    brute_force_wedges,
     build_configuration,
     conjecture_search,
     sample_configuration,
     search_with_stats,
     trial_rng,
 )
+from simplewedge import search
 from simplewedge.search import mix64
 
 
@@ -166,3 +174,111 @@ def test_reverify_rejects_false_failures():
     fake = ConjectureTrialResult(0, 0, 3, triangle.points, False)
     with pytest.raises(InternalInvariantError):
         _reverify(fake)
+
+
+def _reference_scan(n, grid):
+    """The literal per-subset definition: build each subset, skip the
+    collinear ones, call it wedge-free when the oracle lists no wedge."""
+    cells = [Point(i % grid, i // grid) for i in range(grid * grid)]
+    scanned = skipped = 0
+    free = []
+    for index, combo in enumerate(combinations(cells, n)):
+        scanned += 1
+        try:
+            config = build_configuration(combo)
+        except ConfigurationError:
+            skipped += 1
+            continue
+        if not brute_force_wedges(config):
+            free.append(index)
+    return scanned, skipped, free
+
+
+@pytest.mark.parametrize(
+    "n, grid, skipped", [(3, 2, 0), (3, 3, 8), (5, 3, 0), (3, 4, 44), (4, 4, 10), (5, 4, 0)]
+)
+def test_exhaustive_bitmasks_match_reference_scan(n, grid, skipped):
+    failures, stats = search._exhaustive_search(n, grid)
+    got = (stats.subsets_scanned, stats.subsets_skipped, [r.trial for r in failures])
+    assert got == _reference_scan(n, grid)
+    assert got[:2] == (comb(grid * grid, n), skipped)
+
+
+def test_exhaustive_even_size_finds_wedge_free_subsets():
+    """Even n has wedge-free sets, and 68 of the 6-subsets of the 5x5 grid are
+    such sets (none of the 6-subsets of 3x3 or 4x4 is), so this scan runs
+    the failure path with real finds."""
+    failures, stats = search._exhaustive_search(6, 5)
+    assert stats.subsets_scanned == comb(25, 6)
+    assert len(failures) == 68
+    assert [r.trial for r in failures[:4]] == [1984, 2633, 3119, 3279]
+    for result in failures:
+        assert result.n == 6 and not result.wedge_found
+        assert all(0 <= p.x < 5 and 0 <= p.y < 5 for p in result.points)
+        assert not brute_force_wedges(build_configuration(result.points))
+
+
+@pytest.mark.parametrize(
+    "grid, lies, message",
+    [
+        # the triangle (0,0), (1,0), (0,1): two of its three simple lines made
+        # to read as carrying all three cells, so the masks see one simple line
+        (2, [((0, 2), 0b111), ((1, 2), 0b111)], "a wedge exists after all"),
+        # the collinear row (0,0), (1,0), (2,0): its first pair made to read as
+        # a line of its own, so the masks see a non-collinear subset
+        (3, [((0, 1), 0b011)], "contained in a line"),
+    ],
+)
+def test_exhaustive_raises_when_oracle_contradicts_masks(monkeypatch, grid, lies, message):
+    """A subset the masks wrongly call wedge-free is re-verified and raises;
+    it is neither reported nor skipped."""
+    real_table, real_reverify = search._grid_line_table, search._reverify
+    checked = []
+
+    def lying_table(g):
+        line = real_table(g)
+        for (i, j), mask in lies:
+            line[i][j] = line[j][i] = mask
+        return line
+
+    def spy(result):
+        checked.append([(int(p.x), int(p.y)) for p in result.points])
+        real_reverify(result)
+
+    monkeypatch.setattr(search, "_grid_line_table", lying_table)
+    monkeypatch.setattr(search, "_reverify", spy)
+    with pytest.raises(InternalInvariantError, match=message):
+        search._exhaustive_search(3, grid)
+    # subset 0 of the scan, cells 0, 1, 2
+    assert checked == [[(c % grid, c // grid) for c in (0, 1, 2)]]
+
+
+@pytest.mark.parametrize("grid, lines", [(2, 6), (3, 20), (4, 62), (5, 140), (6, 306)])
+def test_grid_line_table_counts_lattice_lines(grid, lines):
+    """Lines through at least two points of a G x G grid: OEIS A018808."""
+    line = search._grid_line_table(grid)
+    size = grid * grid
+    masks = {line[i][j] for i in range(size) for j in range(size) if i != j}
+    assert len(masks) == lines
+    assert all(mask.bit_count() >= 2 for mask in masks)
+    for i in range(size):
+        assert line[i][i] == 0
+        for j in range(size):
+            if i != j:
+                assert line[i][j] == line[j][i] and line[i][j] >> i & 1 and line[i][j] >> j & 1
+
+
+def test_exhaustive_rejects_intractable_grid_before_building_anything(monkeypatch):
+    def no_table(grid):
+        raise AssertionError("the line table must not be built for a refused grid")
+
+    monkeypatch.setattr(search, "_grid_line_table", no_table)
+    for grid in (search.MAX_GRID + 1, 100, 10**6):
+        with pytest.raises(ValueError, match=f"grid must be at most {search.MAX_GRID}"):
+            search_with_stats(5, grid=grid)
+    for grid in (1, 0, -3):
+        with pytest.raises(ValueError, match="grid must be at least 2"):
+            search_with_stats(5, grid=grid)
+    with pytest.raises(ValueError, match="cannot choose 11 points"):
+        search_with_stats(11, grid=3)
+    assert search.exhaustive_subset_count(5, 4) == 4368
